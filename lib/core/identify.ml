@@ -140,20 +140,39 @@ let iter f t = Hashtbl.iter f t.table
 
 (* Incidental-PMC discovery for Algorithm 2 line 26: PMCs (other than
    those already under test) whose write side appears among one thread's
-   accesses and whose read side appears among the other thread's. *)
+   accesses and whose read side appears among the other thread's.
+
+   The reads are indexed by pc once per call, so a PMC whose write side
+   matched looks only at the reads at its own read instruction, and the
+   caller's [exclude] runs last, on full matches only.  The result is
+   still what a scan of every (write, PMC at its pc, read) triple gives,
+   in the same order and with the same duplicates (see the interface). *)
+module Int_tbl = Hashtbl.Make (Int)
+
 let find_incidental t ~(writes : Trace.access list) ~(reads : Trace.access list)
     ~(exclude : Pmc.t -> bool) =
+  let reads_at = Int_tbl.create 64 in
+  List.iter
+    (fun (r : Trace.access) ->
+      if r.Trace.kind = Trace.Read then
+        Int_tbl.replace reads_at r.Trace.pc
+          (r :: Option.value ~default:[] (Int_tbl.find_opt reads_at r.Trace.pc)))
+    reads;
   let found = ref [] in
   List.iter
     (fun (w : Trace.access) ->
-      match Hashtbl.find_opt t.write_index w.Trace.pc with
-      | None -> ()
-      | Some pmcs ->
-          List.iter
-            (fun pmc ->
-              if (not (exclude pmc)) && Pmc.matches_write pmc w
-                 && List.exists (fun r -> Pmc.matches_read pmc r) reads
-              then found := pmc :: !found)
-            !pmcs)
+      if w.Trace.kind = Trace.Write then
+        match Hashtbl.find_opt t.write_index w.Trace.pc with
+        | None -> ()
+        | Some pmcs ->
+            List.iter
+              (fun (pmc : Pmc.t) ->
+                if Pmc.matches_write pmc w then
+                  match Int_tbl.find_opt reads_at pmc.Pmc.read.Pmc.ins with
+                  | Some rs
+                    when List.exists (Pmc.matches_read pmc) rs && not (exclude pmc) ->
+                      found := pmc :: !found
+                  | _ -> ())
+              !pmcs)
     writes;
   !found

@@ -45,4 +45,18 @@ val find_incidental :
   Pmc.t list
 (** Incidental-PMC discovery for Algorithm 2 line 26: identified PMCs,
     not excluded, whose write side matches one of [writes] and whose read
-    side matches one of [reads]. *)
+    side matches one of [reads].  Accesses of the wrong kind are ignored,
+    so a thread's whole access list may be passed.
+
+    Order and multiplicity are part of the contract: the result has one
+    entry per (write, PMC) pair that matches, taken for [writes] in order
+    and, per write, for the PMCs at its pc in [write_index] order, and is
+    returned reversed (the last match first).  A PMC matched by two
+    writes appears twice.  Explore adopts
+    [List.nth l (Random.State.int rng (List.length l))], so any change to
+    the order or the duplicates changes which PMC a trial adopts, and
+    with it every later schedule.
+
+    [exclude] must be pure: it is called only on full matches.  Cost:
+    O(reads + writes x PMCs-at-pc + matches), where a match scans only
+    the reads at the PMC's read instruction. *)

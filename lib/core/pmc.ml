@@ -77,7 +77,14 @@ let matches_read (p : t) (a : Trace.access) =
 
 let matches p a = matches_write p a || matches_read p a
 
-let equal (a : t) (b : t) = a = b
+(* Field by field rather than polymorphic [=]: Explore's exclusion test
+   and [Policies.add_pmc] call this per candidate on every trial. *)
+let equal_side (a : side) (b : side) =
+  a.ins = b.ins && a.addr = b.addr && a.size = b.size && a.value = b.value
+
+let equal (a : t) (b : t) =
+  equal_side a.write b.write && equal_side a.read b.read
+  && Bool.equal a.df_leader b.df_leader
 
 let hash (p : t) = Hashtbl.hash p
 

@@ -128,6 +128,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?domains ?sup ?faults
     Fun.protect ~finally:(fun () -> Mutex.unlock sink_mutex) (fun () ->
         on_result r)
   in
+  let since = Unix.gettimeofday () in
   let results =
     if static then begin
       let shards = shard domains todo in
@@ -166,6 +167,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?domains ?sup ?faults
         (Array.of_list todo)
       |> Array.to_list
   in
+  Pipeline.note_throughput ~since results;
   let all = stored @ results in
   (* Frontier and provenance notes happen here on the coordinator, after
      the joins, in plan order — so the coverage table, the provenance

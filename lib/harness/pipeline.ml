@@ -476,6 +476,14 @@ let plan_method t method_ ~budget =
   Obs.Span.with_span "select" (fun () ->
       Core.Select.plan method_ t.ident ~corpus_ids rng ~max:budget)
 
+(* The executor owns [snowboard.sched/steps_per_sec] but has no clock,
+   so both runners time their execute phase and report the guest steps
+   of the tests they ran in it; resumed results were run earlier. *)
+let note_throughput ~since fresh =
+  Exec.note_throughput
+    ~steps:(List.fold_left (fun n r -> n + r.tr_steps) 0 fresh)
+    ~seconds:(Unix.gettimeofday () -. since)
+
 let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
     ?(resume = fun _ -> None) ?(on_result = fun _ -> ()) t method_ ~budget =
   Obs.Span.with_span
@@ -485,6 +493,8 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
   let plan = plan_method t method_ ~budget in
   Provenance.note_plan t.prov ~method_:(Core.Select.method_name method_) ~plan;
   Obs.Profguest.set_phase (Some Obs.Profguest.Explore);
+  let since = Unix.gettimeofday () in
+  let fresh = ref [] in
   let results =
     Obs.Span.with_span "execute" @@ fun () ->
     List.mapi
@@ -499,6 +509,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
                   ?faults ~prog_of_id:(prog_of_id t) ~index ct
               in
               on_result r;
+              fresh := r :: !fresh;
               r
         in
         (* resumed results are noted too: the frontier and provenance
@@ -509,6 +520,7 @@ let run_method ?(kind = Sched.Explore.Snowboard) ?sup ?faults
         r)
       plan.Core.Select.tests
   in
+  note_throughput ~since !fresh;
   Obs.Profguest.set_phase None;
   let stats =
     stats_of_results ~method_ ~num_clusters:plan.Core.Select.num_clusters

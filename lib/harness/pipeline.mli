@@ -203,6 +203,13 @@ val stats_of_results :
     into method statistics — the single aggregation path for
     sequential, parallel and resumed campaigns. *)
 
+val note_throughput : since:float -> test_result list -> unit
+(** [note_throughput ~since fresh] sets the executor's
+    [snowboard.sched/steps_per_sec] gauge from the guest steps of the
+    tests in [fresh] over the wall time since [since] (a
+    [Unix.gettimeofday] reading).  Both runners call it at the end of
+    their execute phase with the tests they ran there. *)
+
 val run_method :
   ?kind:Sched.Explore.kind ->
   ?sup:Supervise.policy ->

@@ -56,9 +56,10 @@ let h_conc_steps =
 let h_block_len =
   Obs.Metrics.histogram ~unit_:"instr" "snowboard.sched/block_len"
 
-(* Interpreter throughput as last measured by the bench.  The gauge's
-   rate unit marks it wall-clock-derived, so deterministic artifacts
-   exclude it (like every "us" metric). *)
+(* Interpreter throughput as last measured by a campaign's execute
+   phase or by the bench.  The gauge's rate unit marks it
+   wall-clock-derived, so deterministic artifacts exclude it (like every
+   "us" metric). *)
 let g_steps_per_sec =
   Obs.Metrics.gauge ~unit_:"instr/s" "snowboard.sched/steps_per_sec"
 

@@ -138,7 +138,8 @@ val run_seq_step : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 val note_throughput : steps:int -> seconds:float -> unit
 (** Record a measured interpreter throughput in the
     [snowboard.sched/steps_per_sec] gauge.  The executor owns the gauge
-    but cannot measure wall time (no unix dependency); the bench calls
+    but cannot measure wall time (no unix dependency); the campaign
+    runners ([Harness.Pipeline.note_throughput]) and the bench call
     this.  The gauge's rate unit keeps it out of deterministic
     artifacts. *)
 

@@ -55,6 +55,12 @@ type result = {
          all trials; [] when the profiler is disabled *)
 }
 
+(* Did this live access perform the PMC's read and observe a value
+   different from its sequential profile? *)
+let read_changed pmc (a : Trace.access) =
+  Core.Pmc.matches_read pmc a
+  && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value
+
 (* Did the hinted communication happen?  The write side must occur in the
    writer thread and a matching read in the reader thread must observe a
    value different from its sequential profile - a conservative proxy for
@@ -68,14 +74,7 @@ let channel_exercised hint (res : Exec.conc_result) =
           (fun a -> Core.Pmc.matches_write pmc a)
           res.Exec.cc_accesses.(0)
       in
-      let read_changed =
-        List.exists
-          (fun a ->
-            Core.Pmc.matches_read pmc a
-            && a.Trace.value <> pmc.Core.Pmc.read.Core.Pmc.value)
-          res.Exec.cc_accesses.(1)
-      in
-      wrote && read_changed
+      wrote && List.exists (read_changed pmc) res.Exec.cc_accesses.(1)
 
 (* Why did a hinted trial miss?  Classified from the same per-thread
    access lists [channel_exercised] consults, so no ring replay is
@@ -233,38 +232,29 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
            let exclude p =
              List.exists (Core.Pmc.equal p) st.Policies.current_pmcs
            in
-           let writes tid =
-             List.filter
-               (fun a -> a.Trace.kind = Trace.Write)
-               res.Exec.cc_accesses.(tid)
-           in
-           let reads tid =
-             List.filter
-               (fun a -> a.Trace.kind = Trace.Read)
-               res.Exec.cc_accesses.(tid)
-           in
+           (* each thread's whole access list: [find_incidental] skips
+              the accesses of the wrong kind itself *)
+           let acc = res.Exec.cc_accesses in
            let incidental =
-             Core.Identify.find_incidental ident ~writes:(writes 0)
-               ~reads:(reads 1) ~exclude
-             @ Core.Identify.find_incidental ident ~writes:(writes 1)
-                 ~reads:(reads 0) ~exclude
+             Core.Identify.find_incidental ident ~writes:acc.(0) ~reads:acc.(1)
+               ~exclude
+             @ Core.Identify.find_incidental ident ~writes:acc.(1)
+                 ~reads:acc.(0) ~exclude
            in
            (match incidental with
            | [] -> ()
            | l ->
                (* for the accuracy statistic, require the communication
                   to have happened: some matching read observed a value
-                  different from its sequential profile *)
-               let all_reads = reads 0 @ reads 1 in
+                  different from its sequential profile.  Once observed,
+                  later trials cannot change the verdict. *)
                if
-                 List.exists
-                   (fun p ->
-                     List.exists
-                       (fun a ->
-                         Core.Pmc.matches_read p a
-                         && a.Trace.value <> p.Core.Pmc.read.Core.Pmc.value)
-                       all_reads)
-                   l
+                 (not !any_pmc_observed)
+                 && List.exists
+                      (fun p ->
+                        List.exists (read_changed p) acc.(0)
+                        || List.exists (read_changed p) acc.(1))
+                      l
                then any_pmc_observed := true;
                if kind = Snowboard then begin
                  let p = List.nth l (Random.State.int rng (List.length l)) in

@@ -2,7 +2,9 @@
     is deterministic, so capturing a policy's switch decisions is enough
     to re-execute a bug-triggering interleaving exactly. *)
 
-type trace = { t_first : int; t_decisions : bool array }
+type trace = { t_first : int; t_decisions : string }
+(** [t_decisions] has one character per consulted decision: ['1'] to
+    switch threads, ['0'] not to. *)
 
 type recorder = { policy : Exec.policy; finish : unit -> trace }
 
@@ -18,6 +20,7 @@ val length : trace -> int
 val num_switches : trace -> int
 
 val to_string : trace -> string
-(** Compact serialisation, storable alongside a bug report. *)
+(** Compact serialisation, storable alongside a bug report:
+    ["FIRST:DECISIONS"], e.g. ["0:0101"]. *)
 
 val of_string : string -> trace option

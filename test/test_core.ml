@@ -186,6 +186,164 @@ let test_find_incidental () =
   in
   checki "exclusion works" 0 (List.length none)
 
+(* A PMC whose write side two live writes perform is reported once per
+   write, and matches come back last write first: Explore draws its
+   adoption by list position, so both are part of the contract. *)
+let test_find_incidental_order_and_duplicates () =
+  let writer =
+    profile_of ~test_id:0
+      [
+        acc ~pc:1 ~kind:Trace.Write ~addr:0x100 ~size:8 ~value:7 ();
+        acc ~pc:3 ~kind:Trace.Write ~addr:0x200 ~size:8 ~value:7 ();
+      ]
+  in
+  let reader =
+    profile_of ~test_id:1
+      [ acc ~pc:2 ~addr:0x100 ~size:8 ~value:0 (); acc ~pc:4 ~addr:0x200 ~size:8 ~value:0 () ]
+  in
+  let ident = Identify.run [ writer; reader ] in
+  checki "two pmcs" 2 (Identify.num_pmcs ident);
+  let w1 = acc ~pc:1 ~kind:Trace.Write ~addr:0x100 ~size:8 ~value:3 () in
+  let w1' = acc ~pc:1 ~kind:Trace.Write ~addr:0x104 ~size:4 ~value:3 () in
+  let w3 = acc ~pc:3 ~kind:Trace.Write ~addr:0x200 ~size:8 ~value:3 () in
+  let reads =
+    [ acc ~thread:1 ~pc:2 ~addr:0x100 ~size:8 ~value:3 (); acc ~thread:1 ~pc:4 ~addr:0x200 ~size:8 ~value:3 () ]
+  in
+  let ins l = List.map (fun (p : Pmc.t) -> p.Pmc.write.Pmc.ins) l in
+  let found =
+    Identify.find_incidental ident ~writes:[ w1; w1'; w3 ] ~reads
+      ~exclude:(fun _ -> false)
+  in
+  Alcotest.(check (list int)) "one entry per write, last first" [ 3; 1; 1 ] (ins found);
+  checkb "both pc-1 entries are the same pmc" true
+    (match found with _ :: a :: b :: _ -> Pmc.equal a b | _ -> false);
+  let excluded =
+    Identify.find_incidental ident ~writes:[ w1; w1'; w3 ] ~reads
+      ~exclude:(fun p -> p.Pmc.write.Pmc.ins = 3)
+  in
+  Alcotest.(check (list int)) "exclusion drops every copy" [ 1; 1 ] (ins excluded)
+
+(* ---------------- incidental search vs the list-scan oracle ---------------- *)
+
+(* Reference for [Identify.find_incidental]: a plain list scan of every
+   PMC at a write's pc, [exclude] first, then every read.  The indexed
+   search must return exactly this list, order and duplicates included. *)
+let find_incidental_oracle (t : Identify.t) ~writes ~reads ~exclude =
+  let found = ref [] in
+  List.iter
+    (fun (w : Trace.access) ->
+      match Hashtbl.find_opt t.Identify.write_index w.Trace.pc with
+      | None -> ()
+      | Some pmcs ->
+          List.iter
+            (fun pmc ->
+              if (not (exclude pmc)) && Pmc.matches_write pmc w
+                 && List.exists (fun r -> Pmc.matches_read pmc r) reads
+              then found := pmc :: !found)
+            !pmcs)
+    writes;
+  !found
+
+(* An identification indexed straight from a PMC list, so a case can put
+   many PMCs, and repeats, at one write pc. *)
+let ident_of_pmcs pmcs =
+  let write_index = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Pmc.t) ->
+      match Hashtbl.find_opt write_index p.Pmc.write.Pmc.ins with
+      | Some l -> l := p :: !l
+      | None -> Hashtbl.replace write_index p.Pmc.write.Pmc.ins (ref [ p ]))
+    pmcs;
+  {
+    Identify.table = Hashtbl.create 1;
+    write_index;
+    num_write_entries = 0;
+    num_read_entries = 0;
+  }
+
+type incidental_case = {
+  pmcs : Pmc.t list;
+  writes : Trace.access list;
+  reads : Trace.access list;
+  excluded : Pmc.t list;
+}
+
+(* Eight pcs and a 32-byte window: PMCs crowd each write pc with
+   overlapping ranges, both lists mix reads and writes, some writes
+   repeat, and the excluded set is drawn from the PMCs. *)
+let gen_incidental_case =
+  let open QCheck.Gen in
+  let gen_side =
+    map
+      (fun (ins, addr, size, value) ->
+        side ~ins ~addr:(0x100 + addr) ~size:(1 lsl size) ~value)
+      (quad (int_bound 7) (int_bound 24) (int_bound 3) (int_bound 3))
+  in
+  let gen_pmc =
+    map3 (fun w r df -> Pmc.make ~write:w ~read:r ~df_leader:df) gen_side gen_side bool
+  in
+  let gen_access =
+    map
+      (fun (pc, addr, size, write) ->
+        acc ~pc ~kind:(if write then Trace.Write else Trace.Read) ~addr:(0x100 + addr)
+          ~size:(1 lsl size) ~value:0 ())
+      (quad (int_bound 7) (int_bound 24) (int_bound 3) bool)
+  in
+  let pick l idx = List.map (fun i -> List.nth l (i mod List.length l)) idx in
+  let* pmcs = list_size (int_range 0 120) gen_pmc in
+  let* writes = list_size (int_range 0 30) gen_access in
+  let* reads = list_size (int_range 0 30) gen_access in
+  let* dup_idx = list_size (int_range 0 6) (int_bound 1000) in
+  let* excl_idx = list_size (int_range 0 12) (int_bound 1000) in
+  let* at = int_bound 1000 in
+  let writes =
+    if writes = [] then writes
+    else
+      (* re-insert repeats at a random position *)
+      let n = at mod (List.length writes + 1) in
+      List.filteri (fun i _ -> i < n) writes
+      @ pick writes dup_idx
+      @ List.filteri (fun i _ -> i >= n) writes
+  in
+  let excluded = if pmcs = [] then [] else pick pmcs excl_idx in
+  return { pmcs; writes; reads; excluded }
+
+let incidental_both c =
+  let ident = ident_of_pmcs c.pmcs in
+  let exclude p = List.exists (Pmc.equal p) c.excluded in
+  ( Identify.find_incidental ident ~writes:c.writes ~reads:c.reads ~exclude,
+    find_incidental_oracle ident ~writes:c.writes ~reads:c.reads ~exclude )
+
+let prop_find_incidental_matches_oracle =
+  QCheck.Test.make ~name:"indexed find_incidental equals list-scan oracle"
+    ~count:500
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "%d pmcs, %d writes, %d reads, %d excluded"
+           (List.length c.pmcs) (List.length c.writes) (List.length c.reads)
+           (List.length c.excluded))
+       gen_incidental_case)
+    (fun c ->
+      let indexed, oracle = incidental_both c in
+      List.equal Pmc.equal indexed oracle)
+
+(* The generator is not vacuous: on a fixed seed, some cases match, some
+   repeat a PMC, and some exclude a PMC that would otherwise match. *)
+let test_incidental_generator_coverage () =
+  let rng = Random.State.make [| 12 |] in
+  let cases = List.init 300 (fun _ -> gen_incidental_case rng) in
+  let has_dup l =
+    List.exists (fun p -> List.length (List.filter (Pmc.equal p) l) > 1) l
+  in
+  let results = List.map (fun c -> (c, snd (incidental_both c))) cases in
+  checkb "some cases match" true (List.exists (fun (_, l) -> l <> []) results);
+  checkb "some results repeat a pmc" true (List.exists (fun (_, l) -> has_dup l) results);
+  checkb "some exclusions bite" true
+    (List.exists
+       (fun (c, l) ->
+         List.length (snd (incidental_both { c with excluded = [] })) > List.length l)
+       results)
+
 (* ---------------- Clustering (Table 1) ---------------- *)
 
 let mk_pmc ?(wins = 1) ?(waddr = 0x100) ?(wsize = 8) ?(wval = 7) ?(rins = 2)
@@ -427,6 +585,10 @@ let tests =
     Alcotest.test_case "identify partial overlap" `Quick test_identify_overlap_partial;
     Alcotest.test_case "identify self pair" `Quick test_identify_same_test_pair;
     Alcotest.test_case "find incidental" `Quick test_find_incidental;
+    Alcotest.test_case "find incidental order and duplicates" `Quick
+      test_find_incidental_order_and_duplicates;
+    Alcotest.test_case "incidental generator coverage" `Quick
+      test_incidental_generator_coverage;
     Alcotest.test_case "strategy keys" `Quick test_strategy_keys;
     Alcotest.test_case "strategy filters" `Quick test_strategy_filters;
     Alcotest.test_case "cluster ordering" `Quick test_cluster_ordering;
@@ -436,6 +598,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_sfull_injective;
     QCheck_alcotest.to_alcotest prop_values_differ_consistent;
     QCheck_alcotest.to_alcotest prop_identify_order_insensitive;
+    QCheck_alcotest.to_alcotest prop_find_incidental_matches_oracle;
   ]
 
 let () = Alcotest.run "core" [ ("pmc", tests) ]

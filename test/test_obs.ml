@@ -304,6 +304,37 @@ let test_pipeline_populates_registry () =
         kids
   | None -> Alcotest.fail "pipeline.prepare span missing"
 
+(* Both campaign runners set the executor's throughput gauge from their
+   execute phase; its instr/s unit keeps it out of deterministic
+   exports. *)
+let test_campaign_sets_steps_per_sec () =
+  let name = "snowboard.sched/steps_per_sec" in
+  let cfg =
+    {
+      Harness.Pipeline.default with
+      Harness.Pipeline.fuzz_iters = 60;
+      trials_per_test = 2;
+    }
+  in
+  let t = Harness.Pipeline.prepare cfg in
+  let steps_per_sec () = Option.value ~default:0 (Obs.Metrics.value_by_name name) in
+  let method_ = Core.Select.Strategy Core.Cluster.S_INS_PAIR in
+  reset ();
+  ignore (Harness.Pipeline.run_method t method_ ~budget:2);
+  Alcotest.(check bool) "sequential runner sets the gauge" true
+    (steps_per_sec () > 0);
+  reset ();
+  ignore (Harness.Parallel.run_method ~domains:2 t method_ ~budget:2);
+  Alcotest.(check bool) "parallel runner sets the gauge" true
+    (steps_per_sec () > 0);
+  let mentions json =
+    Testutil.Astring_contains.contains (Obs.Export.to_line json) name
+  in
+  Alcotest.(check bool) "kept in full exports" true
+    (mentions (Obs.Export.metrics_json ()));
+  Alcotest.(check bool) "absent from deterministic exports" false
+    (mentions (Obs.Export.metrics_json ~deterministic:true ()))
+
 let () =
   Alcotest.run "obs"
     [
@@ -341,5 +372,7 @@ let () =
         [
           Alcotest.test_case "pipeline populates registry" `Quick
             test_pipeline_populates_registry;
+          Alcotest.test_case "campaign sets steps_per_sec" `Quick
+            test_campaign_sets_steps_per_sec;
         ] );
     ]

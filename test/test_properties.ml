@@ -256,13 +256,17 @@ let test_channel_exercised () =
 
 module Replay = Sched.Replay
 
+let decisions_string decisions =
+  String.concat "" (List.map (fun d -> if d then "1" else "0") decisions)
+
+let gen_decisions =
+  QCheck.Gen.(pair (int_range 0 7) (list_size (int_range 0 300) bool))
+
 let gen_trace =
-  QCheck.Gen.(
-    map2
-      (fun first decisions ->
-        { Replay.t_first = first; t_decisions = Array.of_list decisions })
-      (int_range 0 7)
-      (list_size (int_range 0 300) bool))
+  QCheck.Gen.map
+    (fun (first, decisions) ->
+      { Replay.t_first = first; t_decisions = decisions_string decisions })
+    gen_decisions
 
 let prop_replay_roundtrip =
   QCheck.Test.make ~name:"replay trace round-trips" ~count:300
@@ -271,7 +275,26 @@ let prop_replay_roundtrip =
       | None -> false
       | Some t' ->
           t'.Replay.t_first = t.Replay.t_first
-          && t'.Replay.t_decisions = t.Replay.t_decisions)
+          && t'.Replay.t_decisions = t.Replay.t_decisions
+          && t' = t)
+
+(* The serialised form is "FIRST:" then one '0'/'1' per decision, as
+   stored in bug reports; built here from the booleans independently of
+   the trace's representation. *)
+let prop_replay_format =
+  QCheck.Test.make ~name:"replay to_string keeps first:0101 format"
+    ~count:300 (QCheck.make gen_decisions) (fun (first, decisions) ->
+      let t =
+        { Replay.t_first = first; t_decisions = decisions_string decisions }
+      in
+      let expected =
+        string_of_int first ^ ":"
+        ^ String.init (List.length decisions) (fun i ->
+              if List.nth decisions i then '1' else '0')
+      in
+      Replay.to_string t = expected
+      && Replay.length t = List.length decisions
+      && Replay.num_switches t = List.length (List.filter Fun.id decisions))
 
 (* Truncating a serialised trace must never raise: prefixes that still
    contain the ':' separator decode as a shorter valid trace, prefixes
@@ -325,7 +348,7 @@ let test_replay_of_string_cases () =
   (match Replay.of_string "5:01" with
   | Some t ->
       checkb "first" true (t.Replay.t_first = 5);
-      checkb "decisions" true (t.Replay.t_decisions = [| false; true |])
+      checkb "decisions" true (t.Replay.t_decisions = "01")
   | None -> Alcotest.fail "5:01 must parse");
   match Replay.of_string ":" with
   | Some _ -> Alcotest.fail "empty first field must not parse"
@@ -372,6 +395,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_detector_deterministic;
     Alcotest.test_case "channel_exercised" `Quick test_channel_exercised;
     QCheck_alcotest.to_alcotest prop_replay_roundtrip;
+    QCheck_alcotest.to_alcotest prop_replay_format;
     QCheck_alcotest.to_alcotest prop_replay_truncated;
     QCheck_alcotest.to_alcotest prop_replay_corrupted;
     QCheck_alcotest.to_alcotest prop_replay_garbage;
