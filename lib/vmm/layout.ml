@@ -42,6 +42,8 @@ let stack_range_of_sp esp =
   let base = esp land lnot (stack_size - 1) in
   (base, base + stack_size)
 
+(* Called for every access the executor and the race detector filter, so
+   it compares against the base directly instead of building the pair. *)
 let in_stack_of_sp esp addr =
-  let lo, hi = stack_range_of_sp esp in
-  addr >= lo && addr < hi
+  let base = esp land lnot (stack_size - 1) in
+  addr >= base && addr < base + stack_size
