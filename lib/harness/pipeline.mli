@@ -52,31 +52,19 @@ val profile_corpus :
 (** Phase 2: profile every corpus test from the boot snapshot. *)
 
 val profile_corpus_parallel :
-  ?static:bool ->
   jobs:int ->
   kernel:Kernel.Config.t ->
   Fuzzer.Corpus.t ->
   Core.Profile.t list * int
-(** Phase 2 over [jobs] worker domains.  By default work-steals
-    ({!Workpool}) with every worker leasing a pre-booted VM from the
-    warm pool ({!Sched.Exec.warm_pool}); per-test profiles land in
-    per-entry result slots, so the result is identical to
-    {!profile_corpus} for any [jobs] and any steal interleaving.
-    [static:true] selects PR 4's static round-robin shards with one
-    fresh VM per domain — the equivalence oracle and benchmark
-    baseline. *)
+(** Phase 2 over [jobs] worker domains: work-steals ({!Workpool}) with
+    every worker leasing a pre-booted VM from the warm pool
+    ({!Sched.Exec.warm_pool}); per-test profiles land in per-entry
+    result slots, so the result is identical to {!profile_corpus} for
+    any [jobs] and any steal interleaving. *)
 
-val shard : int -> 'a list -> 'a list array
-(** Split work round-robin into [n] shards — the static distribution
-    discipline the work-stealing pool replaced, kept as the equivalence
-    oracle.  Raises [Invalid_argument] when [n <= 0]; [n] larger than
-    the list leaves the excess shards empty. *)
-
-val prepare : ?static_shard:bool -> config -> t
-(** Run the input-side phases: fuzz, profile, identify.
-    [static_shard:true] routes a parallel profile phase ([jobs > 1])
-    through the static-shard oracle instead of the work-stealing
-    pool. *)
+val prepare : config -> t
+(** Run the input-side phases: fuzz, profile, identify.  With
+    [jobs > 1] the profile phase runs on {!profile_corpus_parallel}. *)
 
 val prog_of_id : t -> int -> Fuzzer.Prog.t
 (** The corpus program with this id; raises [Invalid_argument] if
@@ -177,7 +165,7 @@ val run_one_test :
   test_result
 (** Run one planned test under supervision ({!Supervise.run}) with the
     deterministic per-test seed [cfg.seed + 1000 * index].  Explicit
-    environment/identification so parallel shard workers share this
+    environment/identification so parallel workers share this
     exact code path. *)
 
 val note_result :

@@ -2,14 +2,13 @@
     scheduling substrate under both parallel phases (corpus profiling in
     {!Pipeline} and the explore fan-out in {!Parallel}).
 
-    Static round-robin sharding (the PR 4 design, kept as the
-    equivalence oracle behind [~static] flags upstream) loses the tail:
-    one shard that drew the long tests idles every other domain.  Here
-    each worker owns a {e deque} — a contiguous index range over the
-    shared item array — and pops work from its front; a worker whose
-    deque runs dry picks victims in a seeded deterministic order and
-    {e steals the upper half} of a victim's remaining range, keeping
-    stolen work stealable in turn.  Items are heavyweight (a full guest
+    Static round-robin sharding loses the tail: one shard that drew
+    the long tests idles every other domain.  Here each worker owns a
+    {e deque} — a contiguous index range over the shared item array —
+    and pops work from its front; a worker whose deque runs dry picks
+    victims in a seeded deterministic order and {e steals the upper
+    half} of a victim's remaining range, keeping stolen work stealable
+    in turn.  Items are heavyweight (a full guest
     execution each), so deques are mutex-guarded ranges rather than
     lock-free CHASE-LEV structures: the lock is taken once per item or
     steal, never per guest instruction.
@@ -31,7 +30,7 @@
     Failure containment: an exception from [f] is caught per item and
     the item's slot is filled by [fallback] on the coordinator after the
     joins — one poisoned test costs one result, not a worker (let alone
-    a shard, as the static path did).  An exception from [worker] (e.g.
+    a whole shard of tests).  An exception from [worker] (e.g.
     a failed VM boot) retires that worker; its range is stolen by the
     survivors, and only if {e every} worker fails do the unexecuted
     items fall through to [fallback].

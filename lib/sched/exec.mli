@@ -2,11 +2,13 @@
     sequential tests for profiling and fuzzing, and concurrent tests
     under a pluggable scheduling policy, all from the boot snapshot.
 
-    Execution is allocation-free in the steady state: the interpreter
-    writes events into a caller-owned {!Vmm.Vm.sink}, and sequential
-    profiling retires plain instructions in {!Vmm.Vm.run_block} batches.
-    The legacy list-returning path is kept as {!run_seq_step}, the
-    observational-equivalence oracle and benchmark baseline.
+    Execution is allocation-free in the steady state: the threaded-code
+    interpreter writes events into a caller-owned {!Vmm.Vm.sink};
+    sequential runs retire plain instructions in {!Vmm.Vm.run_tblock}
+    batches, and concurrent runs batch plain instructions only for
+    policies that ignore them.  The list-returning {!Vmm.Vm.step} path
+    is kept as {!run_seq_step}, the observational-equivalence oracle and
+    benchmark baseline.
 
     The executor also maintains per-thread shadow call stacks and
     attributes every access to the innermost non-helper kernel function,
@@ -101,17 +103,10 @@ val syscall_budget : int
 
 val run_seq : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** Restore the snapshot and run the program to completion on one vCPU,
-    retiring plain instructions in {!Vmm.Vm.run_block} batches.
-    Observationally identical to {!run_seq_step} (same accesses, console,
-    retvals, step counts and coverage edges). *)
-
-val run_seq_threaded : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** {!run_seq} over the pre-decoded threaded-code form
-    ({!Vmm.Vm.run_tblock} on [env.tcode]): same blocks, same full
-    [seq_result] including coverage edges, one dense-int dispatch per
-    instruction with the common instruction pairs fused.  The production
-    sequential hot path; {!run_seq} stays on the boxed block path as its
-    equivalence baseline. *)
+    retiring plain instructions in {!Vmm.Vm.run_tblock} batches over the
+    pre-decoded threaded-code form ([env.tcode]).  Observationally
+    identical to {!run_seq_step} (same accesses, console, retvals, step
+    counts and coverage edges).  The fuzzing hot path. *)
 
 val run_seq_shared : env -> tid:int -> Fuzzer.Prog.t -> seq_result
 (** {!run_seq}, but [sq_accesses] holds only the *shared* accesses
@@ -126,14 +121,10 @@ val run_seq_shared : env -> tid:int -> Fuzzer.Prog.t -> seq_result
     profiler's [Profile] phase (exact: a block never crosses a function
     boundary). *)
 
-val run_seq_sink : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** [run_seq] stepping one instruction per {!Vmm.Vm.step_sink} call: no
-    per-step allocation but no batching.  The middle rung the bench uses
-    to split the block path's uplift into its two causes. *)
-
 val run_seq_step : env -> tid:int -> Fuzzer.Prog.t -> seq_result
-(** The legacy list-returning path over {!Vmm.Vm.step}, kept verbatim as
-    the observational-equivalence oracle and benchmark baseline. *)
+(** The list-returning path over {!Vmm.Vm.step}, one instruction per
+    call: the observational-equivalence oracle and benchmark
+    baseline. *)
 
 val note_throughput : steps:int -> seconds:float -> unit
 (** Record a measured interpreter throughput in the
@@ -209,8 +200,9 @@ val run_multi :
     step counts, and [policy.on_plain] reports the skipped
     provably-"no switch" consultations — schedules, replay traces and
     flight-recorder streams are byte-identical to per-step stepping.
-    Other policies step one instruction per {!Vmm.Vm.step_sink} call.
-    Either way there are no per-step allocations.
+    Other policies make the same call with [~quantum:1], one instruction
+    and one decision per call.  Either way there are no per-step
+    allocations.
 
     [watchdog] is a per-trial step budget: exceeding it raises
     {!Fault.Watchdog_timeout} (unlike [conc_budget], which merely flags

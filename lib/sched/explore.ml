@@ -226,9 +226,11 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
        (* incidental PMC discovery (Algorithm 2 lines 26-27).  The set of
           incidental PMCs also feeds the accuracy statistics: a trial
           "observed" a PMC when the write and read occurred in opposite
-          threads, whether hinted or not. *)
+          threads, whether hinted or not.  The search is pure, so once
+          that verdict is in, only Snowboard (which adopts what it
+          finds) still needs it. *)
        (match ident with
-       | Some ident ->
+       | Some ident when kind = Snowboard || not !any_pmc_observed ->
            let exclude p =
              List.exists (Core.Pmc.equal p) st.Policies.current_pmcs
            in
@@ -264,7 +266,7 @@ let run (env : Exec.env) ~(ident : Core.Identify.t option)
                        Core.Pmc.pp p);
                  Policies.add_pmc st p
                end)
-       | None -> ())
+       | _ -> ())
      done
    with Exit -> ());
   {

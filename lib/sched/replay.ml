@@ -52,7 +52,7 @@ let record (inner : Exec.policy) =
    which the deterministic guest rules out for an unchanged kernel).
    The trace is indexed per instruction — including the '0's recorded
    for batched plain instructions — so replay declares [event_only =
-   false] and consumes one decision per [step_sink] call. *)
+   false] and consumes one decision per instruction retired. *)
 let replay (t : trace) : Exec.policy =
   let idx = ref 0 in
   let decide _tid _evs =

@@ -371,8 +371,8 @@ let edge_log_push t key =
    Hashtbl lookup can be skipped; collisions and first touches fall
    through.  A genuinely new edge is also appended to [edge_log], which
    lets [coverage_edges] skip the O(buckets) table fold when the whole
-   run went through this path.  Used by the sink interpreter; the legacy
-   [step] keeps the uncached [record_edge] as the baseline. *)
+   run went through this path.  Used by the threaded-code interpreter;
+   the oracle [step] keeps the uncached [record_edge] as the baseline. *)
 let record_edge_fast t from_pc to_pc =
   if
     from_pc >= 0 && from_pc <= edge_pc_max && to_pc >= 0 && to_pc <= edge_pc_max
@@ -528,11 +528,10 @@ let access t tid c ~addr ~size ~kind ~value ~atomic =
    kernel oops would produce, which is what the console checker greps.
 
    This list-returning interpreter is the *oracle*: the allocation-free
-   sink interpreter below ([exec_sink]/[step_sink]/[run_block]) must stay
-   observationally identical to it, and the equivalence is proved by
-   qcheck over random programs (the same role [restore_full] plays for
-   the dirty-page restore).  Any change to guest semantics must be made
-   to both. *)
+   threaded-code interpreter below ([run_tcode]) must stay observationally
+   identical to it, and the equivalence is proved by qcheck over random
+   programs (the same role [restore_full] plays for the dirty-page
+   restore).  Any change to guest semantics must be made to both. *)
 let step t tid =
   let c = t.cpus.(tid) in
   if c.mode <> Kernel then invalid_arg "vm: stepping a non-kernel thread";
@@ -743,7 +742,7 @@ type stop_reason =
 let max_sink_accesses = 2
 
 (* The access arrays hold more than one instruction's worth so that
-   [run_block] can batch across loads and stores: a block only has to
+   [run_tblock] can batch across loads and stores: a block only has to
    stop when the next instruction might not fit ([sink_capacity -
    max_sink_accesses] entries used). *)
 let sink_capacity = 32
@@ -859,316 +858,28 @@ let sink_acc t c s ~addr ~size ~write ~value ~atomic =
   s.sk_acc_sp.(i) <- c.regs.(Isa.sp);
   s.sk_n_acc <- i + 1
 
-(* One instruction into [sink], which the caller has cleared (directly
-   or via [step_sink]/[run_block]).  A faithful transcription of [step]:
-   every memory operation, register update and event-creation point
-   happens in the same order, so the sunk events match the legacy list
-   field for field. *)
-let exec_traced t tid sink c pc i =
-  t.steps <- t.steps + 1;
-  sink.sk_steps <- sink.sk_steps + 1;
-  let next = pc + 1 in
-  try
-    match i with
-    | Isa.Li (r, v) ->
-        c.regs.(r) <- v;
-        c.pc <- next;
-        Rnone
-    | Isa.Mov (d, s) ->
-        c.regs.(d) <- c.regs.(s);
-        c.pc <- next;
-        Rnone
-    | Isa.Bin (op, d, a, o) ->
-        c.regs.(d) <- Isa.eval_binop op c.regs.(a) (operand c o);
-        c.pc <- next;
-        Rnone
-    | Isa.Load { dst; base; off; size; atomic } ->
-        let addr = c.regs.(base) + off in
-        let v = mem_read t tid addr size in
-        sink_acc t c sink ~addr ~size ~write:false ~value:v ~atomic;
-        c.regs.(dst) <- v;
-        c.pc <- next;
-        Revent
-    | Isa.Store { base; off; src; size; atomic } ->
-        let addr = c.regs.(base) + off in
-        let v = operand c src land size_mask size in
-        mem_write t tid addr size v;
-        sink_acc t c sink ~addr ~size ~write:true ~value:v ~atomic;
-        c.pc <- next;
-        Revent
-    | Isa.Cas { dst; base; off; expected; desired } ->
-        let addr = c.regs.(base) + off in
-        let old = mem_read t tid addr 8 in
-        sink_acc t c sink ~addr ~size:8 ~write:false ~value:old ~atomic:true;
-        if old = operand c expected then begin
-          let v = operand c desired in
-          mem_write t tid addr 8 v;
-          c.regs.(dst) <- 1;
-          c.pc <- next;
-          (* the write access records the already-advanced pc, like the
-             legacy list whose elements are built after [c.pc <- next] *)
-          sink_acc t c sink ~addr ~size:8 ~write:true ~value:v ~atomic:true
-        end
-        else begin
-          c.regs.(dst) <- 0;
-          c.pc <- next
-        end;
-        Revent
-    | Isa.Faa { dst; base; off; delta } ->
-        let addr = c.regs.(base) + off in
-        let old = mem_read t tid addr 8 in
-        let v = old + operand c delta in
-        mem_write t tid addr 8 v;
-        c.regs.(dst) <- old;
-        c.pc <- next;
-        sink_acc t c sink ~addr ~size:8 ~write:false ~value:old ~atomic:true;
-        sink_acc t c sink ~addr ~size:8 ~write:true ~value:v ~atomic:true;
-        Revent
-    | Isa.Br (cond, r, o, target) ->
-        let taken = Isa.eval_cond cond c.regs.(r) (operand c o) in
-        let dest = if taken then target else next in
-        record_edge_fast t pc dest;
-        c.pc <- dest;
-        Rnone
-    | Isa.Jmp target ->
-        record_edge_fast t pc target;
-        c.pc <- target;
-        Rnone
-    | Isa.Call target ->
-        let nsp = c.regs.(Isa.sp) - 8 in
-        mem_write t tid nsp 8 next;
-        c.regs.(Isa.sp) <- nsp;
-        sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:next ~atomic:false;
-        record_edge_fast t pc target;
-        c.pc <- target;
-        sink.sk_call <- target;
-        t.events_sunk <- t.events_sunk + 1;
-        Revent
-    | Isa.Callind r ->
-        let target = c.regs.(r) in
-        if target < 0 || target >= Array.length t.image.Asm.code then
-          raise (Fault target);
-        let nsp = c.regs.(Isa.sp) - 8 in
-        mem_write t tid nsp 8 next;
-        c.regs.(Isa.sp) <- nsp;
-        sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:next ~atomic:false;
-        record_edge_fast t pc target;
-        c.pc <- target;
-        sink.sk_call <- target;
-        t.events_sunk <- t.events_sunk + 1;
-        Revent
-    | Isa.Ret ->
-        let spv = c.regs.(Isa.sp) in
-        let target = mem_read t tid spv 8 in
-        sink_acc t c sink ~addr:spv ~size:8 ~write:false ~value:target
-          ~atomic:false;
-        c.regs.(Isa.sp) <- spv + 8;
-        t.events_sunk <- t.events_sunk + 1;
-        if target = ret_sentinel then begin
-          c.mode <- User;
-          sink.sk_ret_to_user <- true;
-          Rret_to_user
-        end
-        else begin
-          record_edge_fast t pc target;
-          c.pc <- target;
-          sink.sk_return <- true;
-          Revent
-        end
-    | Isa.Push r ->
-        let nsp = c.regs.(Isa.sp) - 8 in
-        let v = c.regs.(r) in
-        mem_write t tid nsp 8 v;
-        c.regs.(Isa.sp) <- nsp;
-        c.pc <- next;
-        sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:v ~atomic:false;
-        Revent
-    | Isa.Pop r ->
-        let spv = c.regs.(Isa.sp) in
-        let v = mem_read t tid spv 8 in
-        c.regs.(r) <- v;
-        c.regs.(Isa.sp) <- spv + 8;
-        c.pc <- next;
-        sink_acc t c sink ~addr:spv ~size:8 ~write:false ~value:v ~atomic:false;
-        Revent
-    | Isa.Pause ->
-        c.pc <- next;
-        sink.sk_pause <- true;
-        t.events_sunk <- t.events_sunk + 1;
-        Revent
-    | Isa.Halt ->
-        c.mode <- Dead;
-        sink.sk_halt <- true;
-        t.events_sunk <- t.events_sunk + 1;
-        Rdead
-    | Isa.Hyper h -> (
-        c.pc <- next;
-        let args = [| c.regs.(0); c.regs.(1); c.regs.(2) |] in
-        match h with
-        | Isa.Hconsole id ->
-            let line = format_msg t.image.Asm.msgs.(id) args in
-            add_console t line;
-            sink.sk_has_console <- true;
-            sink.sk_console <- line;
-            t.events_sunk <- t.events_sunk + 1;
-            Revent
-        | Isa.Hpanic id ->
-            let line = format_msg t.image.Asm.msgs.(id) args in
-            add_console t line;
-            t.panicked <- true;
-            c.mode <- Dead;
-            Log.debug (fun m -> m "vCPU %d panic at pc %d: %s" tid pc line);
-            sink.sk_has_console <- true;
-            sink.sk_console <- line;
-            sink.sk_panic <- true;
-            t.events_sunk <- t.events_sunk + 2;
-            Rdead
-        | Isa.Hlock_acq ->
-            sink.sk_lock <- c.regs.(0);
-            sink.sk_lock_acq <- true;
-            t.events_sunk <- t.events_sunk + 1;
-            Revent
-        | Isa.Hlock_rel ->
-            sink.sk_lock <- c.regs.(0);
-            sink.sk_lock_acq <- false;
-            t.events_sunk <- t.events_sunk + 1;
-            Revent
-        | Isa.Hrcu_lock ->
-            sink.sk_rcu <- `Lock;
-            t.events_sunk <- t.events_sunk + 1;
-            Revent
-        | Isa.Hrcu_unlock ->
-            sink.sk_rcu <- `Unlock;
-            t.events_sunk <- t.events_sunk + 1;
-            Revent)
-  with Fault addr ->
-    let fn = Asm.func_name t.image pc in
-    let line =
-      if addr >= 0 && addr < Layout.null_guard_end then
-        Printf.sprintf "BUG: kernel NULL pointer dereference, address: 0x%04x, ip: %s" addr fn
-      else Printf.sprintf "BUG: unable to handle page fault for address: 0x%x, ip: %s" addr fn
-    in
-    add_console t line;
-    t.panicked <- true;
-    c.mode <- Dead;
-    Log.debug (fun m -> m "vCPU %d fault at pc %d (%s): %s" tid pc fn line);
-    sink.sk_has_fault <- true;
-    sink.sk_fault_addr <- addr;
-    sink.sk_has_console <- true;
-    sink.sk_console <- line;
-    sink.sk_panic <- true;
-    t.events_sunk <- t.events_sunk + 3;
-    Rdead
-
-(* One instruction into [sink]: fetch, then execute through
-   [exec_traced].  [run_block] shares [exec_traced] so a trace-relevant
-   instruction is decoded exactly once on either path. *)
-let exec_sink t tid sink =
-  let c = t.cpus.(tid) in
-  if c.mode <> Kernel then invalid_arg "vm: stepping a non-kernel thread";
-  let pc = c.pc in
-  if pc < 0 || pc >= Array.length t.image.Asm.code then
-    invalid_arg (Printf.sprintf "vm: pc out of range: %d" pc);
-  exec_traced t tid sink c pc t.image.Asm.code.(pc)
-
-let step_sink t ~tid sink =
-  sink_clear sink;
-  exec_sink t tid sink
-
-(* Execute up to [quantum] instructions on vCPU [tid], running plain
-   instructions (Li/Mov/Bin/Br/Jmp - the ones [step] returns no events
-   for) in a tight loop, accumulating memory accesses from loads, stores
-   and atomics into the sink as they come, and stopping at the first
-   instruction that produced any *other* event (or when the access
-   arrays are nearly full).  [sk_steps] counts everything retired, so
-   block execution is invisible to instruction budgets.  Returns [Rnone]
-   when the quantum expired on plain instructions only. *)
-let run_block t ~tid ~quantum sink =
-  sink_clear sink;
-  let c = t.cpus.(tid) in
-  if c.mode <> Kernel then invalid_arg "vm: stepping a non-kernel thread";
-  let code = t.image.Asm.code in
-  let len = Array.length code in
-  let remaining = ref quantum in
-  let result = ref Rnone in
-  let stop = ref false in
-  while (not !stop) && !remaining > 0 do
-    let pc = c.pc in
-    if pc < 0 || pc >= len then
-      invalid_arg (Printf.sprintf "vm: pc out of range: %d" pc);
-    (match code.(pc) with
-    | Isa.Li (r, v) ->
-        t.steps <- t.steps + 1;
-        sink.sk_steps <- sink.sk_steps + 1;
-        c.regs.(r) <- v;
-        c.pc <- pc + 1
-    | Isa.Mov (d, s) ->
-        t.steps <- t.steps + 1;
-        sink.sk_steps <- sink.sk_steps + 1;
-        c.regs.(d) <- c.regs.(s);
-        c.pc <- pc + 1
-    | Isa.Bin (op, d, a, o) ->
-        t.steps <- t.steps + 1;
-        sink.sk_steps <- sink.sk_steps + 1;
-        c.regs.(d) <- Isa.eval_binop op c.regs.(a) (operand c o);
-        c.pc <- pc + 1
-    | Isa.Br (cond, r, o, target) ->
-        t.steps <- t.steps + 1;
-        sink.sk_steps <- sink.sk_steps + 1;
-        let dest =
-          if Isa.eval_cond cond c.regs.(r) (operand c o) then target else pc + 1
-        in
-        record_edge_fast t pc dest;
-        c.pc <- dest
-    | Isa.Jmp target ->
-        t.steps <- t.steps + 1;
-        sink.sk_steps <- sink.sk_steps + 1;
-        record_edge_fast t pc target;
-        c.pc <- target
-    | i ->
-        (* trace-relevant: execute through the shared core.  If the
-           instruction produced nothing but memory accesses (loads,
-           stores, atomics - the common case) and the sink still has
-           room for another instruction's worth, the block keeps going;
-           everything else - calls, returns, locks, console output,
-           pause, or leaving kernel mode - needs its singleton sink
-           field or the caller's attention, so the block ends. *)
-        result := exec_traced t tid sink c pc i;
-        if
-          not
-            (!result = Revent
-            && sink.sk_call < 0
-            && (not sink.sk_return)
-            && (not sink.sk_pause)
-            && (not sink.sk_has_console)
-            && sink.sk_lock < 0
-            && sink.sk_rcu = `No
-            && sink.sk_n_acc + max_sink_accesses <= sink_capacity)
-        then stop := true);
-    decr remaining
-  done;
-  !result
-
 (* ------------------------------------------------------------------ *)
 (* The threaded-code interpreter.                                      *)
 
-(* [run_block] still pays a boxed-constructor fetch and a nested match
-   (instruction, then operand Imm/Reg, then binop/cond) per instruction.
-   [run_tcode] executes the pre-decoded {!Tcode.t} form instead: one
-   dense-int dispatch per instruction with every variant folded into the
-   opcode, operands loaded from flat int arrays, and the peephole
-   superops retiring two instructions per dispatch.  Register indices
-   and access sizes were validated at decode time, so the register file
-   and operand arrays are read unchecked ([pc] itself is bounds-checked
-   against the code length each iteration, and all operand arrays share
-   that length).
+(* [step] pays a boxed-constructor fetch, a nested match (instruction,
+   then operand Imm/Reg, then binop/cond) and an event list per
+   instruction.  [run_tcode] executes the pre-decoded {!Tcode.t} form
+   instead, writing events into a caller-owned sink: one dense-int
+   dispatch per instruction with every variant folded into the opcode,
+   operands loaded from flat int arrays, and the peephole superops
+   retiring two instructions per dispatch.  Register indices and access
+   sizes were validated at decode time, so the register file and operand
+   arrays are read unchecked ([pc] itself is bounds-checked against the
+   code length each iteration, and all operand arrays share that
+   length).
 
-   This is a third transcription of the guest semantics, held to the
-   same contract as [exec_traced]: identical guest state transitions,
-   identical sink contents (including the pc/sp recording quirks of
-   [sink_acc]), identical step/access/event accounting, identical fault
-   handling.  The qcheck 4-way equivalence property (threaded vs
-   [run_block] vs [step_sink] vs legacy [step]) enforces it. *)
+   This is the second transcription of the guest semantics, held to the
+   contract of [step]: identical guest state transitions, sink contents
+   that materialise ([sink_events]) to [step]'s event lists (including
+   the pc/sp recording quirks of [sink_acc]), identical step/access
+   accounting, identical fault handling.  The qcheck property
+   ([run_tblock] vs [step]) and the lockstep event test
+   ([run_tblock_conc ~quantum:1] vs [step]) enforce it. *)
 
 (* Monomorphic on [int array]: a polymorphic wrapper would compile to
    generic-array accesses (float-tag check per load, [caml_modify] per
@@ -1201,12 +912,12 @@ let[@inline] tc_cond_eval bcode a b =
   | 24 | 30 -> a > b
   | _ -> a >= b
 
-(* Continue the block past an access-only instruction?  Mirrors
-   [run_block]'s condition: sequential blocks keep going while only
-   memory accesses accumulated and the sink has room for another
-   instruction's worth; concurrent blocks ([conc]) stop at every
-   event-producing instruction so the scheduler's decision cadence at
-   events is exactly the per-step loop's. *)
+(* Continue the block past an access-only instruction?  Sequential
+   blocks keep going while only memory accesses accumulated and the sink
+   has room for another instruction's worth; concurrent blocks ([conc])
+   stop at every event-producing instruction so the scheduler sees one
+   decision point per event, exactly as stepping one instruction at a
+   time would. *)
 let[@inline] tc_keep_going conc sink =
   (not conc)
   && sink.sk_call < 0
@@ -1271,12 +982,11 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
      semantics and for the fault handler — and at exits.  [fault_rem]
      snapshots [rem] right before any operation that can raise [Fault],
      so the handler can reconstruct the retired count including the
-     faulting instruction, exactly as [exec_traced] counts it at
-     entry.  In-range pcs need no per-dispatch bounds check: the entry
-     pc is validated up front, branch/jmp/call targets are
-     label-resolved inside the image, indirect-call targets are checked
-     in their arm, and falling through the end lands on the [op_oob]
-     sentinel slot. *)
+     faulting instruction, exactly as [step] counts it.  In-range pcs
+     need no per-dispatch bounds check: the entry pc is validated up
+     front, branch/jmp/call targets are label-resolved inside the image,
+     indirect-call targets are checked in their arm, and falling through
+     the end lands on the [op_oob] sentinel slot. *)
   let pc = ref c.pc in
   let rem = ref quantum in
   let result = ref Rnone in
@@ -1517,8 +1227,8 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
               mem_write t tid addr 8 v;
               us regs (ug f0 p) 1;
               c.pc <- p + 1;
-              (* write access records the already-advanced pc, as the
-                 legacy list does *)
+              (* write access records the already-advanced pc, as
+                 [step]'s list does *)
               sink_acc t c sink ~addr ~size:8 ~write:true ~value:v
                 ~atomic:true
             end
@@ -1618,7 +1328,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
            regs.(Isa.sp) <- nsp;
            c.pc <- p + 1;
            (* records the advanced pc and the new sp, like [sink_acc]
-              called after the updates in [exec_traced] *)
+              called after the updates in [step] *)
            sink_acc t c sink ~addr:nsp ~size:8 ~write:true ~value:v
              ~atomic:false;
            result := Revent;
@@ -1833,7 +1543,7 @@ let run_tcode t (tc : Tcode.t) ~tid ~quantum ~conc sink =
      sink.sk_steps <- sink.sk_steps + retired
    with Fault addr ->
      (* Every fault point above fires before the faulting instruction
-        updates [c.pc] (memory is touched first, as in [exec_traced]),
+        updates [c.pc] (memory is touched first, as in [step]),
         so [c.pc] is the faulting instruction's own pc — including the
         store half of a superop, whose arm set [c.pc] to it. *)
      let retired = quantum - !fault_rem + 1 in

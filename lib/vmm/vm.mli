@@ -93,10 +93,11 @@ val step : t -> int -> event list
 (** Execute one instruction on the given vCPU.  Raises [Invalid_argument]
     if the vCPU is not in kernel mode.
 
-    This is the legacy list-returning interpreter, kept as the
+    This is the list-returning interpreter: the boot stepper, and the
     observational-equivalence oracle and benchmark baseline for the
-    allocation-free {!step_sink}/{!run_block} paths below (the same role
-    {!restore_full} plays for the dirty-page restore). *)
+    allocation-free threaded-code interpreter ({!run_tblock},
+    {!run_tblock_conc}) below — the same role {!restore_full} plays for
+    the dirty-page restore. *)
 
 (** {2 Zero-allocation event sink}
 
@@ -107,7 +108,7 @@ val step : t -> int -> event list
     An instruction produces at most two memory accesses (Cas/Faa: read
     then write) and at most one control event of each kind, so the fixed
     frame below represents any event list [step] can return.  The access
-    arrays are larger than one instruction needs so that {!run_block}
+    arrays are larger than one instruction needs so that {!run_tblock}
     can batch consecutive loads and stores into one frame. *)
 
 type sink = {
@@ -143,7 +144,7 @@ type stop_reason =
 
 val sink_capacity : int
 (** Capacity of the sink's access arrays: more than one instruction's
-    worth, so {!run_block} can batch accesses across consecutive loads
+    worth, so {!run_tblock} can batch accesses across consecutive loads
     and stores. *)
 
 val make_sink : unit -> sink
@@ -159,49 +160,47 @@ val sink_push_access : sink -> Trace.access -> unit
     observers) without running guest code. *)
 
 val sink_events : sink -> thread:int -> event list
-(** The legacy event list for this sink, in the exact order {!step} would
-    have returned it; the bridge tests and slow consumers use to compare
-    the two interpreters. *)
-
-val step_sink : t -> tid:int -> sink -> stop_reason
-(** Clear the sink and execute one instruction into it.  Observationally
-    identical to {!step} (same guest state transition; the sunk events
-    materialise to the same list), without the per-step allocations. *)
-
-val run_block : t -> tid:int -> quantum:int -> sink -> stop_reason
-(** Clear the sink and execute up to [quantum] instructions, running
-    plain instructions (the ones {!step} returns no events for:
-    Li/Mov/Bin/Br/Jmp) in a tight loop, accumulating memory accesses
-    from loads, stores and atomics into the sink as they come, and
-    stopping at the first instruction that produced any other event
-    (call, return, lock, console line, pause, or leaving kernel mode) or
-    when the access arrays are nearly full.  The sink's accesses are in
-    execution order across the whole block; the singleton event fields
-    always belong to the final instruction.  [sk_steps] counts
-    everything retired, so block execution is invisible to instruction
-    budgets.  Returns [Rnone] when the quantum expired on plain
-    instructions only. *)
+(** The event list for this sink, in the exact order {!step} would have
+    returned it; the bridge tests and slow consumers use to compare the
+    two interpreters. *)
 
 val run_tblock : t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
-(** {!run_block} over the pre-decoded threaded-code form: one dense-int
+(** Clear the sink and execute up to [quantum] instructions of vCPU
+    [tid] from the pre-decoded threaded-code form: one dense-int
     dispatch per instruction (operand variants folded into the opcode,
-    operands in flat arrays) and the peephole superops retiring the
+    operands in flat arrays), with the peephole superops retiring the
     common load+branch / bin+store / bin+branch pairs in one dispatch.
-    Observationally identical to {!run_block} — same guest state
-    transitions, sink contents, step/access/event accounting, coverage
-    edges and fault handling; the qcheck 4-way equivalence property
-    enforces it.  Raises [Invalid_argument] if [tc] was decoded from a
-    different image than this VM runs (threaded code is keyed on image
-    identity; rebuild via {!Tcode.for_image}). *)
+
+    Plain instructions (the ones {!step} returns no events for:
+    Li/Mov/Bin/Br/Jmp) run in a tight loop; memory accesses from loads,
+    stores and atomics accumulate in the sink in execution order; the
+    block stops at the first instruction that produced any other event
+    (call, return, lock, console line, pause, or leaving kernel mode) or
+    when the access arrays are nearly full, so the singleton event
+    fields always belong to the final instruction.  [sk_steps] counts
+    everything retired, so block execution is invisible to instruction
+    budgets.  Returns [Rnone] when the quantum expired on plain
+    instructions only.
+
+    Observationally identical to running {!step} [sk_steps] times: same
+    guest state transitions, the sink's accesses and events equal to
+    the concatenated event lists, same step/access accounting, coverage
+    edges and fault handling; a qcheck property enforces it.  Raises
+    [Invalid_argument] if [tc] was decoded from a different image than
+    this VM runs (threaded code is keyed on image identity; rebuild via
+    {!Tcode.for_image}). *)
 
 val run_tblock_conc :
   t -> Tcode.t -> tid:int -> quantum:int -> sink -> stop_reason
 (** {!run_tblock} for the concurrent executor: the block additionally
     stops at {e every} event-producing instruction (including loads and
     stores) instead of batching accesses, so a scheduler draining the
-    sink after each call observes exactly the per-[step_sink] event
-    cadence — only runs of plain instructions are batched between
-    decision points. *)
+    sink after each call sees one decision point per event — only runs
+    of plain instructions are batched between decision points.  With
+    [~quantum:1] it retires exactly one instruction per call, and the
+    sink materialises ({!sink_events}) to exactly the list {!step}
+    returns: the executor's per-step path for step-counting
+    policies. *)
 
 val peek : t -> int -> int -> int -> int
 (** [peek t tid addr size] reads guest memory without tracing (host use). *)
@@ -242,8 +241,8 @@ val record_edge_fast : t -> int -> int -> unit
 (** {!record_edge} through a per-VM direct-mapped cache: a hit proves the
     edge entered the coverage table after the last {!reset_coverage} and
     skips the table lookup.  Same observable effect as {!record_edge}
-    (same edges, same bounds checks); the sink interpreter uses this,
-    the legacy {!step} keeps the uncached path. *)
+    (same edges, same bounds checks); the threaded-code interpreter uses
+    this, the oracle {!step} keeps the uncached path. *)
 
 val reset_coverage : t -> unit
 
@@ -252,7 +251,7 @@ val steps : t -> int
 
 val events_sunk : t -> int
 (** Total events written into caller-owned sinks since creation (the
-    sink-path counterpart of the event lists [step] would have built). *)
+    sink counterpart of the event lists [step] would have built). *)
 
 val add_console : t -> string -> unit
 (** Append a console line directly (host-side; tests use this to build

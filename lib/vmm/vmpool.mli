@@ -3,8 +3,8 @@
 
     Booting a guest — building the kernel image, running init,
     snapshotting — costs orders of magnitude more than executing one
-    profiled test, which is why the static-shard parallel phases of
-    PR 4 were a net slowdown: every worker domain paid a fresh boot per
+    profiled test, which is why static sharding with a fresh VM per
+    worker domain was a net slowdown: every worker paid a boot per
     phase.  The pool amortizes that cost: a worker {!lease}s a machine,
     runs any number of tests against it (every run restores the boot
     snapshot first, so reuse is observationally invisible), and

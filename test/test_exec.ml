@@ -1,7 +1,7 @@
-(* Tests for the zero-allocation execution core: the sink/block
-   interpreter paths against the legacy [Vm.step] oracle, the shared-only
-   profiling runner and fast profile builder against the legacy pair,
-   the edge cache, and the fingerprint/edge-key regressions. *)
+(* Tests for the zero-allocation execution core: the threaded-code
+   interpreter against the [Vm.step] oracle, the shared-only profiling
+   runner and fast profile builder against the oracle pair, the edge
+   cache, and the fingerprint/edge-key regressions. *)
 
 module Vm = Vmm.Vm
 module Asm = Vmm.Asm
@@ -17,29 +17,23 @@ let checki = Alcotest.(check int)
 
 let env = lazy (Exec.make_env Kernel.Config.v5_12_rc3)
 
-(* ---------------- sink/block paths vs the Vm.step oracle ------------ *)
+(* ---------------- threaded code vs the Vm.step oracle --------------- *)
 
-(* Every sequential path must produce the identical result record AND
+(* The sequential runner must produce the identical result record AND
    leave the VM in the identical state (fingerprint covers all
    guest-visible state).  Random programs reach faults, console output,
    locks and budget aborts. *)
-let prop_sink_block_equivalent =
-  QCheck.Test.make
-    ~name:"sink, block and threaded paths match the Vm.step oracle" ~count:60
+let prop_run_seq_equivalent =
+  QCheck.Test.make ~name:"run_seq matches the Vm.step oracle" ~count:60
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let env = Lazy.force env in
       let prog = Fuzzer.Gen.generate (Random.State.make [| seed |]) in
       let r_step = Exec.run_seq_step env ~tid:0 prog in
       let fp_step = Vm.fingerprint env.Exec.vm in
-      let r_sink = Exec.run_seq_sink env ~tid:0 prog in
-      let fp_sink = Vm.fingerprint env.Exec.vm in
-      let r_block = Exec.run_seq env ~tid:0 prog in
-      let fp_block = Vm.fingerprint env.Exec.vm in
-      let r_threaded = Exec.run_seq_threaded env ~tid:0 prog in
-      let fp_threaded = Vm.fingerprint env.Exec.vm in
-      r_step = r_sink && r_step = r_block && r_step = r_threaded
-      && fp_step = fp_sink && fp_step = fp_block && fp_step = fp_threaded)
+      let r_seq = Exec.run_seq env ~tid:0 prog in
+      let fp_seq = Vm.fingerprint env.Exec.vm in
+      r_step = r_seq && fp_step = fp_seq)
 
 (* The shared-only runner must equal the oracle with its access list
    filtered (and no edges); the fast profile builder must equal the
@@ -66,8 +60,10 @@ let prop_shared_profile_equivalent =
       && p_oracle = p_fast)
 
 (* Lockstep: stepping one VM with [Vm.step] and its twin with
-   [Vm.step_sink], the sunk events must materialise to the legacy event
-   list instruction by instruction, not just in aggregate. *)
+   [Vm.run_tblock_conc ~quantum:1] (the concurrent executor's per-step
+   path), each call must retire exactly one instruction and the sunk
+   events must materialise to [step]'s event list instruction by
+   instruction, not just in aggregate. *)
 let lockstep_syscalls =
   [
     (Kernel.Abi.sys_socket, [ Kernel.Abi.af_inet; 0 ]);
@@ -95,7 +91,9 @@ let test_lockstep_events () =
       while Vm.cpu_mode e1.Exec.vm 0 = Vm.Kernel && !budget > 0 do
         decr budget;
         let evs = Vm.step e1.Exec.vm 0 in
-        ignore (Vm.step_sink e2.Exec.vm ~tid:0 sink);
+        ignore
+          (Vm.run_tblock_conc e2.Exec.vm e2.Exec.tcode ~tid:0 ~quantum:1 sink);
+        checki "one instruction per call" 1 sink.Vm.sk_steps;
         checkb
           (Printf.sprintf "events match at step (syscall %d)" nr)
           true
@@ -104,31 +102,6 @@ let test_lockstep_events () =
       checkb "twin VMs end in the same state" true
         (Vm.fingerprint e1.Exec.vm = Vm.fingerprint e2.Exec.vm))
     lockstep_syscalls
-
-(* [run_block] respects the quantum exactly: quantum 1 is per-instruction
-   stepping, and a block never retires more than the quantum. *)
-let test_block_quantum () =
-  let env = Lazy.force env in
-  Vm.restore env.Exec.vm env.Exec.snap;
-  Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry [ 1; 0 ];
-  Vm.set_reg env.Exec.vm 0 Isa.r12 Kernel.Abi.sys_open;
-  let sink = Vm.make_sink () in
-  let steps = ref 0 in
-  while Vm.cpu_mode env.Exec.vm 0 = Vm.Kernel && !steps < 100_000 do
-    ignore (Vm.run_block env.Exec.vm ~tid:0 ~quantum:1 sink);
-    checki "quantum 1 retires exactly one instruction" 1 sink.Vm.sk_steps;
-    incr steps
-  done;
-  Vm.restore env.Exec.vm env.Exec.snap;
-  Vm.start_call env.Exec.vm 0 env.Exec.kern.Kernel.syscall_entry [ 1; 0 ];
-  Vm.set_reg env.Exec.vm 0 Isa.r12 Kernel.Abi.sys_open;
-  let total = ref 0 in
-  while Vm.cpu_mode env.Exec.vm 0 = Vm.Kernel && !total < 100_000 do
-    ignore (Vm.run_block env.Exec.vm ~tid:0 ~quantum:7 sink);
-    checkb "quantum bounds the block" true (sink.Vm.sk_steps <= 7);
-    total := !total + sink.Vm.sk_steps
-  done;
-  checki "same instruction count either way" !steps !total
 
 (* ---------------- fingerprint separator regressions ----------------- *)
 
@@ -266,8 +239,8 @@ let test_stale_tcode_rejected () =
         via Tcode.for_image)") (fun () ->
       ignore (Vm.run_tblock e2.Exec.vm e1.Exec.tcode ~tid:0 ~quantum:8 sink))
 
-(* [run_tblock] respects the quantum exactly, like [run_block]: quantum 1
-   is per-instruction stepping (fused pairs retire one half per step),
+(* [run_tblock] respects the quantum exactly: quantum 1 is
+   per-instruction stepping (fused pairs retire one half per step),
    and the instruction count is identical either way. *)
 let test_threaded_quantum () =
   let env = Lazy.force env in
@@ -420,12 +393,11 @@ let test_note_throughput_guard () =
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_sink_block_equivalent; prop_shared_profile_equivalent ]
+    [ prop_run_seq_equivalent; prop_shared_profile_equivalent ]
 
 let tests =
   [
     Alcotest.test_case "lockstep event lists" `Quick test_lockstep_events;
-    Alcotest.test_case "block quantum" `Quick test_block_quantum;
     Alcotest.test_case "fingerprint regs" `Quick test_fingerprint_regs_unambiguous;
     Alcotest.test_case "fingerprint console" `Quick
       test_fingerprint_console_unambiguous;

@@ -231,14 +231,16 @@ let test_unknown_corpus_id () =
   expect_invalid_arg "Parallel.prog_of_table" (fun () ->
       Harness.Parallel.prog_of_table (Hashtbl.create 4) 4242)
 
-(* ---------------- shard failure containment ---------------- *)
+(* ---------------- worker failure containment ---------------- *)
 
-let test_shard_failure_shape () =
+(* A test lost to a dead worker becomes one [Crashed] record (the
+   work-stealing pool's fallback), never a lost slot. *)
+let test_crashed_result_shape () =
   let ct w r = { Core.Select.writer = w; reader = r; hint = None } in
   let rs =
-    Harness.Parallel.shard_failure
+    List.map
+      (fun t -> Harness.Parallel.crashed_result t (Failure "domain blew up"))
       [ (3, ct 1 2); (7, ct 2 1) ]
-      (Failure "domain blew up")
   in
   checki "one record per test" 2 (List.length rs);
   List.iter2
@@ -517,7 +519,7 @@ let tests =
     Alcotest.test_case "No_fault leaves trials untouched" `Quick
       test_no_fault_unchanged;
     Alcotest.test_case "unknown corpus id named" `Quick test_unknown_corpus_id;
-    Alcotest.test_case "shard failure contained" `Quick test_shard_failure_shape;
+    Alcotest.test_case "shard failure contained" `Quick test_crashed_result_shape;
     Alcotest.test_case "checkpoint round-trips" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint lookup keyed" `Quick test_checkpoint_lookup;
     Alcotest.test_case "checkpoint load errors" `Quick test_checkpoint_load_errors;

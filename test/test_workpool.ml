@@ -102,26 +102,6 @@ let test_pool_finish_runs_per_worker () =
        items);
   checki "finish ran once per worker" 4 (Atomic.get finished)
 
-(* ---------------- Pipeline.shard edge cases ------------------------ *)
-
-let test_shard_rejects_nonpositive () =
-  Alcotest.check_raises "zero workers"
-    (Invalid_argument "shard: worker count must be positive, got 0")
-    (fun () -> ignore (Harness.Pipeline.shard 0 [ 1; 2; 3 ]));
-  Alcotest.check_raises "negative workers"
-    (Invalid_argument "shard: worker count must be positive, got -2")
-    (fun () -> ignore (Harness.Pipeline.shard (-2) [ 1 ]))
-
-let test_shard_more_workers_than_items () =
-  let shards = Harness.Pipeline.shard 5 [ "a"; "b" ] in
-  checki "shard count" 5 (Array.length shards);
-  checkb "items round-robin into the first shards" true
-    (shards.(0) = [ "a" ] && shards.(1) = [ "b" ]);
-  checkb "excess shards empty" true
-    (shards.(2) = [] && shards.(3) = [] && shards.(4) = []);
-  checkb "empty input, all empty" true
-    (Array.for_all (( = ) []) (Harness.Pipeline.shard 3 ([] : int list)))
-
 let test_default_domains () =
   let unset () = Unix.putenv "SNOWBOARD_MAX_DOMAINS" "" in
   unset ();
@@ -237,8 +217,7 @@ let small_cfg =
 let t = lazy (Harness.Pipeline.prepare small_cfg)
 
 (* Work-stealing corpus profiling must merge to the same profile list
-   and step count as the sequential profiler, for any job count and
-   with the static oracle too. *)
+   and step count as the sequential profiler, for any job count. *)
 let test_profile_parallel_equivalent () =
   let t = Lazy.force t in
   let env = Exec.make_env small_cfg.Harness.Pipeline.kernel in
@@ -254,12 +233,7 @@ let test_profile_parallel_equivalent () =
       checkb (Printf.sprintf "profiles identical at jobs=%d" jobs) true
         (p = seq_profiles);
       checki (Printf.sprintf "steps identical at jobs=%d" jobs) seq_steps s)
-    [ 1; 2; 3 ];
-  let p, s =
-    Harness.Pipeline.profile_corpus_parallel ~static:true ~jobs:2
-      ~kernel:small_cfg.Harness.Pipeline.kernel t.Harness.Pipeline.corpus
-  in
-  checkb "static oracle identical" true (p = seq_profiles && s = seq_steps)
+    [ 1; 2; 3 ]
 
 (* The parallel explore fan-out must produce identical method stats —
    bug reports, outcome tallies, everything — to the sequential runner,
@@ -275,11 +249,7 @@ let test_explore_parallel_equivalent () =
       let par = Harness.Parallel.run_method ~domains t method_ ~budget in
       checkb (Printf.sprintf "stats identical at domains=%d" domains) true
         (par = seq))
-    [ 1; 2; 4 ];
-  let par_static =
-    Harness.Parallel.run_method ~domains:2 ~static:true t method_ ~budget
-  in
-  checkb "static oracle identical" true (par_static = seq)
+    [ 1; 2; 4 ]
 
 (* Different campaign seeds change the victim permutation the pool
    uses; the permutation must never leak into results. *)
@@ -317,10 +287,6 @@ let () =
         ] );
       ( "sharding",
         [
-          Alcotest.test_case "shard rejects n <= 0" `Quick
-            test_shard_rejects_nonpositive;
-          Alcotest.test_case "more workers than items" `Quick
-            test_shard_more_workers_than_items;
           Alcotest.test_case "default_domains" `Quick test_default_domains;
         ] );
       ( "vmpool",
